@@ -7,23 +7,22 @@ import repro.webdb._
 import scala.collection.mutable
 
 object MDAlgorithm {
-  /** Per-round parallelism cap (thread pool of the QR2 web service). */
-  val MaxPar = 8
   /** Tie tolerance when comparing candidate scores to box bounds. */
   val TieEps = 1e-9
 }
 
-/** Shared skeleton of the MD get-next strategies: candidate bookkeeping,
+/** Shared engine of the MD get-next strategies: candidate bookkeeping,
   * the session-level cache of *resolved* boxes (QR2's session variable —
   * a box whose query did not overflow is fully known and never re-queried
-  * within the session), and the parallel round executor.
+  * within the session), and the parallel round executor. A strategy only
+  * decides which boxes go into each round and what happens to a box that
+  * overflows.
   */
 abstract class MDAlgorithm(
     val conn: WebDbConn,
     val base: WebQuery,
     val f: LinearRanking,
     val norm: Normalizer,
-    val maxPar: Int = MDAlgorithm.MaxPar,
 ) extends GetNexter {
 
   /** Ids already returned to the user. */
@@ -66,10 +65,6 @@ abstract class MDAlgorithm(
   protected def fromSessionCache(box: Box): Option[Vector[WebTuple]] =
     resolved.collectFirst { case (rb, ts) if box.containedIn(rb) => ts.filter(box.contains) }
 
-  /** Unemitted tuples of a response, as (score, tuple) candidates. */
-  protected def candidates(ts: Seq[WebTuple]): Seq[(Double, WebTuple)] =
-    ts.filter(t => !emitted.contains(t.id)).map(t => (scoreOf(t), t))
-
   /** Score of the most recently emitted tuple. Every tuple scoring strictly
     * below it has already been emitted (the output is in score order), so a
     * box whose *maximum* achievable score is below it can only contain seen
@@ -81,8 +76,63 @@ abstract class MDAlgorithm(
   protected def exhaustedBelowContour(b: Box): Boolean =
     RankContour.maxScore(f, b, norm) < lastEmittedScore
 
-  protected def emit(best: Option[(Double, WebTuple)]): Option[WebTuple] =
+  // -------------------------------------------------------------------
+  // Search state of one get-next: the best unemitted candidate so far.
+  // -------------------------------------------------------------------
+  private var best: Option[(Double, WebTuple)] = None
+
+  /** Upper rank contour: a box whose minimum score is not below it cannot
+    * hold a better candidate.
+    */
+  protected def bound: Double = best.map(_._1 + MDAlgorithm.TieEps).getOrElse(Double.PositiveInfinity)
+
+  /** Offer the unemitted tuples of a response as candidates. */
+  protected def consider(ts: Seq[WebTuple]): Unit =
+    ts.iterator.filterNot(t => emitted.contains(t.id)).map(t => (scoreOf(t), t)).foreach { c =>
+      if (best.forall(b => better(c, b))) best = Some(c)
+    }
+
+  /** Run one get-next search from [[initialBox]], feeding [[consider]]. */
+  protected def search(): Unit
+
+  final def getNext(): Option[WebTuple] = {
+    best = None
+    search()
     best.map { case (s, t) => emitted += t.id; lastEmittedScore = s; t }
+  }
+
+  // -------------------------------------------------------------------
+  // Dense boxes and the round executor.
+  // -------------------------------------------------------------------
+
+  /** Relative width below which a box that still overflows is crawled
+    * instead of split.
+    */
+  protected def denseWidth: Double = MDBinary.Resolution
+
+  /** Complete matching content of a dense box: crawled under the user
+    * filter and cached for the session, never indexed.
+    */
+  protected def crawlDense(box: Box): Vector[WebTuple] = {
+    val ts = Crawler.crawlQuery(conn, box.toQuery(base))
+    cacheResolved(box, ts)
+    ts
+  }
+
+  /** Query `boxes` as one parallel round. Each response, in order, is
+    * considered and, when complete, cached; an overflowing box is crawled
+    * when dense, otherwise handed to `expand` at once — `expand` may read
+    * [[bound]] as tightened by the responses before it.
+    */
+  protected def queryRound(boxes: Seq[Box])(expand: Box => Unit): Unit = {
+    val responses = conn.batch(boxes.map(_.toQuery(base)))
+    boxes.lazyZip(responses).foreach { (box, res) =>
+      consider(res.tuples)
+      if (!res.overflow) cacheResolved(box, res.tuples)
+      else if (widestDim(box)._2 <= denseWidth) consider(crawlDense(box))
+      else expand(box)
+    }
+  }
 }
 
 object MDBinary {
@@ -92,7 +142,7 @@ object MDBinary {
 
 /** MD-BINARY — best-first branch-and-bound over boxes: a priority queue
   * ordered by the box's best achievable score; every round pops all boxes
-  * that could still beat the current candidate (up to the parallelism cap)
+  * that could still beat the current candidate (up to the round width)
   * and queries them as **one parallel batch** — these are exactly the
   * paper's parallel verification / subspace-search queries. Overflowing
   * boxes split at the midpoint of their (relatively) widest dimension.
@@ -103,15 +153,17 @@ class MDBinary(
     base: WebQuery,
     f: LinearRanking,
     norm: Normalizer,
-    maxPar: Int = MDAlgorithm.MaxPar,
-) extends MDAlgorithm(conn, base, f, norm, maxPar) {
+) extends MDAlgorithm(conn, base, f, norm) {
 
   private final case class Entry(ms: Double, serial: Long, box: Box)
   private implicit val entryOrd: Ordering[Entry] =
     Ordering.by((e: Entry) => (-e.ms, -e.serial)) // PriorityQueue is a max-heap
   private var serial = 0L
 
-  def getNext(): Option[WebTuple] = {
+  /** Content of `box` known without a query: the session cache. */
+  protected def local(box: Box): Option[Vector[WebTuple]] = fromSessionCache(box)
+
+  protected def search(): Unit = {
     val pq = mutable.PriorityQueue.empty[Entry]
     def push(b: Box): Unit =
       if (!b.isEmpty && !exhaustedBelowContour(b)) {
@@ -119,39 +171,22 @@ class MDBinary(
       }
     push(initialBox)
 
-    var best: Option[(Double, WebTuple)] = None
-    def bound: Double = best.map(_._1 + MDAlgorithm.TieEps).getOrElse(Double.PositiveInfinity)
-    def consider(ts: Seq[WebTuple]): Unit =
-      candidates(ts).foreach(c => if (best.forall(b => better(c, b))) best = Some(c))
-
     while (pq.nonEmpty && pq.head.ms < bound) {
-      // Collect one round: session-cache hits resolve for free; the rest
-      // form a parallel batch.
-      val round = mutable.Buffer.empty[Entry]
-      while (pq.nonEmpty && pq.head.ms < bound && round.size < maxPar) {
-        val e = pq.dequeue()
-        fromSessionCache(e.box) match {
+      // Collect one round: local hits resolve for free; the rest form a
+      // parallel batch.
+      val round = mutable.Buffer.empty[Box]
+      while (pq.nonEmpty && pq.head.ms < bound && round.size < WebDbConn.MaxPar) {
+        val box = pq.dequeue().box
+        local(box) match {
           case Some(ts) => consider(ts)
-          case None     => round += e
+          case None     => round += box
         }
       }
-      if (round.nonEmpty) {
-        val responses = conn.batch(round.toSeq.map(_.box.toQuery(base)))
-        round.toSeq.lazyZip(responses).foreach { (e, res) =>
-          consider(res.tuples)
-          if (!res.overflow) cacheResolved(e.box, res.tuples)
-          else if (widestDim(e.box)._2 <= MDBinary.Resolution) {
-            val ts = Crawler.crawlQuery(conn, e.box.toQuery(base))
-            cacheResolved(e.box, ts)
-            consider(ts)
-          } else {
-            val (b1, b2) = e.box.split(widestDim(e.box)._1)
-            push(b1); push(b2)
-          }
-        }
+      if (round.nonEmpty) queryRound(round.toSeq) { box =>
+        val (b1, b2) = box.split(widestDim(box)._1)
+        push(b1); push(b2)
       }
     }
-    emit(best)
   }
 }
 
@@ -175,60 +210,16 @@ final class MDRerank(
     f: LinearRanking,
     norm: Normalizer,
     val store: DenseRegionStore = new DenseRegionStore,
-    maxPar: Int = MDAlgorithm.MaxPar,
-) extends MDAlgorithm(conn, base, f, norm, maxPar) {
+) extends MDBinary(conn, base, f, norm) {
 
-  private final case class Entry(ms: Double, serial: Long, box: Box)
-  private implicit val entryOrd: Ordering[Entry] =
-    Ordering.by((e: Entry) => (-e.ms, -e.serial))
-  private var serial = 0L
+  /** The session cache, then the shared dense-region index. */
+  override protected def local(box: Box): Option[Vector[WebTuple]] =
+    fromSessionCache(box).orElse(store.lookupBox(box).map(_.filter(base.matches)))
 
-  def getNext(): Option[WebTuple] = {
-    val pq = mutable.PriorityQueue.empty[Entry]
-    def push(b: Box): Unit =
-      if (!b.isEmpty && !exhaustedBelowContour(b)) {
-        serial += 1; pq.enqueue(Entry(minScoreOf(b), serial, b))
-      }
-    push(initialBox)
+  override protected def denseWidth: Double = MDRerank.DenseEps
 
-    var best: Option[(Double, WebTuple)] = None
-    def bound: Double = best.map(_._1 + MDAlgorithm.TieEps).getOrElse(Double.PositiveInfinity)
-    def consider(ts: Seq[WebTuple]): Unit =
-      candidates(ts).foreach(c => if (best.forall(b => better(c, b))) best = Some(c))
-
-    /** Local resolution: session cache, then the shared dense-region index. */
-    def local(box: Box): Option[Vector[WebTuple]] =
-      fromSessionCache(box).orElse(
-        store.lookupBox(box).map(_.filter(t => box.contains(t) && base.matches(t))))
-
-    while (pq.nonEmpty && pq.head.ms < bound) {
-      val round = mutable.Buffer.empty[Entry]
-      while (pq.nonEmpty && pq.head.ms < bound && round.size < maxPar) {
-        val e = pq.dequeue()
-        local(e.box) match {
-          case Some(ts) => consider(ts)
-          case None     => round += e
-        }
-      }
-      if (round.nonEmpty) {
-        val responses = conn.batch(round.toSeq.map(_.box.toQuery(base)))
-        round.toSeq.lazyZip(responses).foreach { (e, res) =>
-          consider(res.tuples)
-          if (!res.overflow) cacheResolved(e.box, res.tuples)
-          else if (widestDim(e.box)._2 <= MDRerank.DenseEps) {
-            // Dense box: crawl unconditioned, index for everyone, resolve.
-            val ts = Crawler.crawlQuery(conn, e.box.toQuery(WebQuery.all))
-            store.add(e.box, ts)
-            consider(ts.filter(base.matches))
-          } else {
-            val (b1, b2) = e.box.split(widestDim(e.box)._1)
-            push(b1); push(b2)
-          }
-        }
-      }
-    }
-    emit(best)
-  }
+  override protected def crawlDense(box: Box): Vector[WebTuple] =
+    store.crawlAndIndex(conn, box).filter(base.matches)
 }
 
 /** MD-BASELINE — "broad queries that cover the search space": query the
@@ -244,20 +235,16 @@ final class MDBaseline(
     base: WebQuery,
     f: LinearRanking,
     norm: Normalizer,
-    maxPar: Int = MDAlgorithm.MaxPar,
-) extends MDAlgorithm(conn, base, f, norm, maxPar) {
+) extends MDAlgorithm(conn, base, f, norm) {
 
-  def getNext(): Option[WebTuple] = {
-    var best: Option[(Double, WebTuple)] = None
-    def sStar: Double = best.map(_._1 + MDAlgorithm.TieEps).getOrElse(Double.PositiveInfinity)
-    def consider(ts: Seq[WebTuple]): Unit =
-      candidates(ts).foreach(c => if (best.forall(b => better(c, b))) best = Some(c))
+  private def clip(b: Box): Box = RankContour.clip(f, b, bound, norm)
 
+  protected def search(): Unit = {
     var work: Vector[Box] =
       Vector(initialBox).filterNot(b => b.isEmpty || exhaustedBelowContour(b))
     while (work.nonEmpty) {
-      val keep                  = mutable.Buffer.empty[Box]
-      val (roundBoxes, later)   = work.splitAt(maxPar)
+      val keep                = mutable.Buffer.empty[Box]
+      val (roundBoxes, later) = work.splitAt(WebDbConn.MaxPar)
       keep ++= later
       // Session-cache hits resolve for free; the rest go out in parallel.
       val (cached, toQuery) = roundBoxes.partitionMap { b =>
@@ -267,36 +254,22 @@ final class MDBaseline(
         }
       }
       cached.foreach(consider)
-      if (toQuery.nonEmpty) {
-        val responses = conn.batch(toQuery.map(_.toQuery(base)))
-        toQuery.lazyZip(responses).foreach { (box, res) =>
-          consider(res.tuples)
-          if (!res.overflow) cacheResolved(box, res.tuples)
-          else if (widestDim(box)._2 <= MDBinary.Resolution) {
-            val ts = Crawler.crawlQuery(conn, box.toQuery(base))
-            cacheResolved(box, ts)
-            consider(ts)
-          } else {
-            val clipped = RankContour.clip(f, box, sStar, norm)
-            if (clipped.isEmpty) () // nothing below the contour in this box
-            else if (RankContour.shrank(box, clipped)) keep += clipped
-            else {
-              val (b1, b2) = box.split(widestDim(box)._1)
-              keep ++= Seq(b1, b2)
-                .map(b => RankContour.clip(f, b, sStar, norm))
-                .filterNot(_.isEmpty)
-            }
-          }
+      if (toQuery.nonEmpty) queryRound(toQuery) { box =>
+        val clipped = clip(box)
+        if (clipped.isEmpty) () // nothing below the contour in this box
+        else if (RankContour.shrank(box, clipped)) keep += clipped
+        else {
+          val (b1, b2) = box.split(widestDim(box)._1)
+          keep ++= Seq(b1, b2).map(clip).filterNot(_.isEmpty)
         }
       }
       // Re-clip the frontier against the tightened contour and drop boxes
       // that can no longer contain an improvement (above the upper contour)
       // or only already-emitted tuples (below the session's lower contour).
       work = keep.toVector
-        .map(b => RankContour.clip(f, b, sStar, norm))
+        .map(clip)
         .filterNot(b => b.isEmpty || exhaustedBelowContour(b))
-        .filter(b => minScoreOf(b) < sStar)
+        .filter(b => minScoreOf(b) < bound)
     }
-    emit(best)
   }
 }

@@ -80,8 +80,8 @@ abstract class OneDAlgorithm(
   protected final def domainWidth: Double = math.max(ks.keyDomain.width, 1e-12)
 
   /** Probe `base ∧ attr ∈ raw(kIv)` through the accounted connection. */
-  protected final def probe(kIv: Interval, crawl: Boolean = false): TopKResponse =
-    conn.topK(base.and(attr, ks.toRaw(kIv)), crawl)
+  protected final def probe(kIv: Interval): TopKResponse =
+    conn.topK(base.and(attr, ks.toRaw(kIv)))
 
   protected final def minKey(res: TopKResponse): Double =
     res.tuples.iterator.map(t => ks.key(t.num(attr))).min
@@ -193,11 +193,7 @@ final class OneDRerank(
     while (covered) {
       store.coverageFrom(attr, asc, lo) match {
         case Some((covEnd, _, ts)) =>
-          val cand = ts.iterator
-            .filter(t => base.matches(t) && ks.key(t.num(attr)) > lo)
-            .map(t => ks.key(t.num(attr)))
-            .minOption
-          cand match {
+          nextKeyIn(ts, lo) match {
             case Some(kv) => return Some(kv)
             case None     => lo = covEnd // indexed stretch is empty under this filter
           }
@@ -210,31 +206,22 @@ final class OneDRerank(
     val first = probe(Interval(lo, hi, loIncl = false, hiIncl = ks.keyDomain.hiIncl))
     if (first.isEmpty) return None
     if (!first.overflow) return Some(minKey(first))
-    var hiMatch = true
     hi = minKey(first) // observed-min shortcut; hi is a known matching value
     // Invariant: (lo, hi] contains at least one matching tuple.
-    while (true) {
-      if (hi - lo <= OneDRerank.DenseEps * domainWidth) {
-        if (hiMatch) {
-          // Cheap resolution attempt before declaring the sliver dense.
-          val open = Interval.open(lo, hi)
-          if (open.isEmpty) return Some(hi)
-          val res = probe(open)
-          if (res.isEmpty) return Some(hi)
-          if (!res.overflow) return Some(minKey(res))
-          hi = minKey(res)
-          if (hi - lo > OneDRerank.DenseEps * domainWidth) { /* keep halving */ }
-          else return Some(crawlAndIndex(lo, hi))
-        } else return Some(crawlAndIndex(lo, hi))
-      } else {
-        val mid = lo + (hi - lo) / 2
-        val res = probe(Interval.openClosed(lo, mid))
-        if (res.isEmpty) lo = mid
-        else if (!res.overflow) return Some(minKey(res))
-        else { hi = minKey(res); hiMatch = true }
-      }
+    while (hi - lo > OneDRerank.DenseEps * domainWidth) {
+      val mid = lo + (hi - lo) / 2
+      val res = probe(Interval.openClosed(lo, mid))
+      if (res.isEmpty) lo = mid
+      else if (!res.overflow) return Some(minKey(res))
+      else hi = minKey(res)
     }
-    sys.error("unreachable")
+    // Dense sliver: one cheap probe of (lo, hi) before crawling it.
+    val open = Interval.open(lo, hi)
+    if (open.isEmpty) return Some(hi)
+    val res = probe(open)
+    if (res.isEmpty) Some(hi)
+    else if (!res.overflow) Some(minKey(res))
+    else Some(crawlAndIndex(lo, minKey(res)))
   }
 
   /** Crawl the closed key interval `[lo, hi]` *without* the user filter,
@@ -242,30 +229,23 @@ final class OneDRerank(
     * key beyond `lo`.
     */
   private def crawlAndIndex(lo: Double, hi: Double): Double = {
-    val rawIv = ks.toRaw(Interval(lo, hi)) // closed — keeps coverage contiguous
-    val ts    = Crawler.crawlQuery(conn, WebQuery.all.and(attr, rawIv))
-    store.add(Box(Map(attr -> rawIv)), ts)
-    ts.iterator
-      .filter(t => base.matches(t) && ks.key(t.num(attr)) > lo)
-      .map(t => ks.key(t.num(attr)))
-      .min // non-empty: the invariant guarantees a match in (lo, hi]
+    val region = Box(Map(attr -> ks.toRaw(Interval(lo, hi)))) // closed — keeps coverage contiguous
+    nextKeyIn(store.crawlAndIndex(conn, region), lo).get // the invariant guarantees a match in (lo, hi]
   }
+
+  /** Smallest key beyond `lo` among the tuples of `ts` matching the filter. */
+  private def nextKeyIn(ts: Seq[WebTuple], lo: Double): Option[Double] =
+    ts.iterator.filter(base.matches).map(t => ks.key(t.num(attr))).filter(_ > lo).minOption
 
   /** Value groups resolve from the index when available; crawled groups are
     * crawled unconditioned and indexed (point regions are dense regions too).
     */
   override protected def materializeGroup(v: Double): Vector[WebTuple] = {
     val pointBox = Box(Map(attr -> Interval.point(v)))
-    store.lookupBox(pointBox) match {
-      case Some(ts) => ts.filter(_.num(attr) == v)
-      case None =>
-        val res = conn.topK(base.and(attr, Interval.point(v)))
-        if (!res.overflow) res.tuples.toVector
-        else {
-          val all = Crawler.crawlQuery(conn, WebQuery.all.and(attr, Interval.point(v)))
-          store.add(pointBox, all)
-          all
-        }
+    store.lookupBox(pointBox).getOrElse {
+      val res = conn.topK(base.and(attr, Interval.point(v)))
+      if (!res.overflow) res.tuples.toVector
+      else store.crawlAndIndex(conn, pointBox)
     }
   }
 }

@@ -25,13 +25,11 @@ import scala.collection.mutable
   * QR2 invokes the crawler for (a) the *general positioning* fix — more
   * than system-k tuples sharing one attribute value — and (b) dense-region
   * indexing in the RERANK algorithms. Sub-queries of one level are
-  * independent, so the crawler issues them in parallel rounds (bounded by
-  * `maxPar`), contributing to the parallel-iteration counts of Fig 2.
+  * independent, so the crawler issues them in parallel rounds (at most
+  * [[WebDbConn.MaxPar]] wide), contributing to the parallel-iteration
+  * counts of Fig 2.
   */
 object Crawler {
-
-  /** Default per-round parallelism (DESIGN.md §7). */
-  val DefaultMaxPar = 8
 
   /** Retrieve every tuple matching `q`. Queries are tagged as crawl
     * traffic in the connection's accountant.
@@ -39,13 +37,13 @@ object Crawler {
     * @throws IllegalStateException if the region cannot be partitioned
     *         further yet still overflows (more than k identical tuples).
     */
-  def crawlQuery(conn: WebDbConn, q: WebQuery, maxPar: Int = DefaultMaxPar): Vector[WebTuple] = {
+  def crawlQuery(conn: WebDbConn, q: WebQuery): Vector[WebTuple] = {
     val schema = conn.schema
     val out    = mutable.LinkedHashMap.empty[Long, WebTuple]
     var level  = Vector(q)
     while (level.nonEmpty) {
       val next = mutable.Buffer.empty[WebQuery]
-      level.grouped(maxPar).foreach { round =>
+      level.grouped(WebDbConn.MaxPar).foreach { round =>
         val responses = conn.batch(round, crawl = true)
         round.lazyZip(responses).foreach { (sub, res) =>
           res.tuples.foreach(t => out.update(t.id, t))

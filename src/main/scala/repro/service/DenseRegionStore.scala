@@ -2,7 +2,8 @@ package repro.service
 
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types._
-import repro.webdb.{Box, Interval, WebSchema, WebTuple}
+import repro.crawl.Crawler
+import repro.webdb.{Box, Interval, WebDbConn, WebQuery, WebSchema, WebTuple}
 
 import scala.collection.mutable
 
@@ -15,8 +16,8 @@ import scala.collection.mutable
   * it — regions are crawled *unconditioned* on any user filter precisely so
   * the index is reusable across sessions and users. Lookups:
   *
-  *  - `lookupBox` — a region containing the probe box resolves an MD query
-  *    locally at zero web-database cost;
+  *  - `lookupBox` — a region containing the probe box yields the box's
+  *    content locally, at zero web-database cost;
   *  - `coverageFrom` — for the 1D strategies: how far beyond a frontier key
   *    is the axis contiguously covered by indexed regions, and which
   *    indexed tuples live there.
@@ -48,9 +49,18 @@ final class DenseRegionStore {
     fresh.foreach { case (b, ts) => entries += Entry(b, ts.toVector) }
   }
 
-  /** All indexed tuples of the first stored region containing `box`, if any. */
+  /** Crawl `box` without any user filter, index it for every session, and
+    * return its complete content. Only the insertion takes the store's lock.
+    */
+  def crawlAndIndex(conn: WebDbConn, box: Box): Vector[WebTuple] = {
+    val ts = Crawler.crawlQuery(conn, box.toQuery(WebQuery.all))
+    add(box, ts)
+    ts
+  }
+
+  /** The indexed tuples inside `box`, if a stored region contains it. */
   def lookupBox(box: Box): Option[Vector[WebTuple]] = synchronized {
-    entries.find(e => box.containedIn(e.box)).map(_.tuples)
+    entries.find(e => box.containedIn(e.box)).map(_.tuples.filter(box.contains))
   }
 
   /** 1D coverage query in key space. Looks for a stored single-attribute

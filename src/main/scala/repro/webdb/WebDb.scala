@@ -87,13 +87,11 @@ object DbStats {
   * variable*: "used to store the tuples that are already seen … in order to
   * accelerate the query processing and subsequent get-next operations"
   * (§II-A). A repeated query is answered from the session cache and is not
-  * billed (no request leaves the service); `memoize = false` disables the
-  * cache where raw interface behaviour is wanted.
+  * billed (no request leaves the service).
   */
 final class WebDbConn(
     val db: WebDb,
     val acc: Accountant = new Accountant,
-    val memoize: Boolean = true,
 ) {
   def schema: WebSchema = db.schema
   def k: Int = db.k
@@ -114,10 +112,6 @@ final class WebDbConn(
     */
   def batch(qs: Seq[WebQuery], crawl: Boolean = false): Seq[TopKResponse] = {
     require(qs.nonEmpty, "empty batch")
-    if (!memoize) {
-      record(qs.size, crawl)
-      return qs.map(db.rawTopK)
-    }
     val misses = qs.distinct.filterNot(memo.contains)
     if (misses.nonEmpty) {
       record(misses.size, crawl)
@@ -133,6 +127,13 @@ final class WebDbConn(
     if (crawl) acc.crawlQueries += n
     acc.batchSizes += n
   }
+}
+
+object WebDbConn {
+  /** Widest parallel round QR2 sends: the service's thread pool
+    * (DESIGN.md §7).
+    */
+  val MaxPar = 8
 }
 
 /** Driver-side web database: the full table collected once, presorted by

@@ -87,12 +87,15 @@ class WebDbSpec extends SparkSpec {
     }
   }
 
-  test("accountant: queries, rounds and parallel rounds (memoization off)") {
+  private val cheap  = WebQuery.all.and("price", Interval(200.0, 500.0))
+  private val pricey = WebQuery.all.and("price", Interval(500.0, 900.0))
+
+  test("accountant: queries, rounds and parallel rounds") {
     val db   = TestFixtures.diamonds(spark)
-    val conn = new WebDbConn(db, memoize = false)
+    val conn = new WebDbConn(db)
     conn.topK(WebQuery.all)
-    conn.batch(Seq(WebQuery.all, WebQuery.all.and("price", Interval(200.0, 500.0))))
-    conn.topK(WebQuery.all, crawl = true)
+    conn.batch(Seq(cheap, pricey))
+    conn.topK(WebQuery.all.and("carat", Interval(0.2, 0.5)), crawl = true)
     val s = conn.acc.snapshot
     assert(s.queries == 4)
     assert(s.rounds == 3)
@@ -137,10 +140,10 @@ class WebDbSpec extends SparkSpec {
 
   test("accountant `since` computes deltas") {
     val db   = TestFixtures.diamonds(spark)
-    val conn = new WebDbConn(db, memoize = false)
+    val conn = new WebDbConn(db)
     conn.topK(WebQuery.all)
     val snap = conn.acc.snapshot
-    conn.batch(Seq(WebQuery.all, WebQuery.all))
+    conn.batch(Seq(cheap, pricey))
     val d = conn.acc.since(snap)
     assert(d.queries == 2 && d.rounds == 1 && d.parallelRounds == 1)
     assert(d.batchSizes == Vector(2))
