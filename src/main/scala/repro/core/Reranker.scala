@@ -6,6 +6,8 @@ import org.apache.spark.sql.{Column, DataFrame, Row, SparkSession}
 import repro.core.expr.{LinearScore, SimplifyLinearScore}
 import repro.webdb.{WebSchema, WebTuple}
 
+import scala.jdk.CollectionConverters._
+
 /** The distributed re-rank operator: applies an arbitrary user ranking
   * function to a result set fetched from a web database as a DataFrame
   * transformation — score column, stable (score, id) sort, optional top-h.
@@ -97,7 +99,9 @@ object Reranker {
 
   /** Materialize driver-side tuples (e.g. a session's discovered top-h) as
     * a DataFrame so they can be re-ranked / joined / displayed with the
-    * full Spark API.
+    * full Spark API. The frame is a single partition, so [[rerank]]'s
+    * global sort runs in place as one job, without a sampling job or a
+    * shuffle.
     */
   def tuplesToDataFrame(
       spark: SparkSession,
@@ -111,6 +115,6 @@ object Reranker {
     val rows = tuples.map { t =>
       Row.fromSeq(Seq(t.id) ++ schema.numeric.map(t.num) ++ schema.categorical.map(t.cat))
     }
-    spark.createDataFrame(spark.sparkContext.parallelize(rows.toSeq, 1), st)
+    spark.createDataFrame(rows.asJava, st).coalesce(1)
   }
 }

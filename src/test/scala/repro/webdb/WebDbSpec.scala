@@ -1,5 +1,6 @@
 package repro.webdb
 
+import org.apache.spark.metrics.source.CodegenMetrics
 import repro.{SparkSpec, TestFixtures}
 
 import scala.util.Random
@@ -84,7 +85,70 @@ class WebDbSpec extends SparkSpec {
       val sr = new WebDbConn(sparkDb).topK(q)
       assert(lr.tuples.map(_.id) == sr.tuples.map(_.id), s"tuple mismatch for $q")
       assert(lr.overflow == sr.overflow, s"overflow mismatch for $q")
+      assert(lr.tuples == sr.tuples, s"attribute mismatch for $q")
     }
+  }
+
+  /** Interval probes whose bounds sit exactly on values present in `db`:
+    * all four bound kinds between sampled values of `attr`, a point at each,
+    * and open `(prev, next)` / `(v, next)` probes around values shared by
+    * several tuples.
+    */
+  private def boundaryQueries(db: LocalWebDb, attr: String): Seq[WebQuery] = {
+    val counts = db.allTuples.groupBy(_(attr)).map { case (v, ts) => v -> ts.size }
+    val vs     = counts.keys.toVector.sorted
+    val n      = vs.size
+    val picks  = Seq(0, n / 3, 2 * n / 3, n - 1).map(vs).distinct
+    val pairs  = picks.zip(picks.tail) :+ (picks.head, picks.last)
+    val kinds  = for (lo <- Seq(true, false); hi <- Seq(true, false)) yield (lo, hi)
+    val ranged = for ((lo, hi) <- pairs; (loIn, hiIn) <- kinds) yield Interval(lo, hi, loIn, hiIn)
+    val points = picks.map(Interval.point)
+    val tied   = vs.indices.filter(i => counts(vs(i)) > 1).take(4).flatMap { i =>
+      Seq(
+        Interval.open(if (i > 0) vs(i - 1) else vs(i) - 1, if (i < n - 1) vs(i + 1) else vs(i) + 1),
+        Interval.open(vs(i), if (i < n - 1) vs(i + 1) else vs(i) + 1),
+      )
+    }
+    (ranged ++ points ++ tied).map(iv => WebQuery.all.and(attr, iv))
+  }
+
+  private def assertSameAnswers(local: LocalWebDb, sparkDb: WebDb, qs: Seq[WebQuery]): Unit =
+    qs.foreach { q =>
+      val lr = new WebDbConn(local).topK(q)
+      val sr = new WebDbConn(sparkDb).topK(q)
+      assert(lr.tuples == sr.tuples, s"tuple mismatch for $q")
+      assert(lr.overflow == sr.overflow, s"overflow mismatch for $q")
+    }
+
+  test("SparkWebDb ≡ LocalWebDb with bounds on values present in the table (diamonds)") {
+    val sf    = 0.005
+    val local = TestFixtures.diamonds(spark, sf)
+    val qs    = Seq("price", "carat", "lwr").flatMap(boundaryQueries(local, _))
+    assert(qs.exists(q => new WebDbConn(local).topK(q).overflow), "some probe must overflow")
+    assertSameAnswers(local, WebData.diamondsSpark(spark, sf), qs)
+  }
+
+  test("SparkWebDb ≡ LocalWebDb with bounds on values present in the table (houses)") {
+    val sf    = 0.002
+    val local = TestFixtures.houses(spark, sf)
+    val beds3 = WebQuery.all.and("beds", Interval.point(3.0))
+    val qs    = Seq("beds", "year").flatMap(boundaryQueries(local, _)) ++
+      boundaryQueries(local, "year").map(_.andAll(beds3))
+    assertSameAnswers(local, WebData.housesSpark(spark, sf), qs)
+  }
+
+  test("SparkWebDb compiles no new code for later queries of the same shape") {
+    val db   = WebData.diamondsSpark(spark, 0.005)
+    val conn = new WebDbConn(db)
+    def q(i: Int): WebQuery = WebQuery.all
+      .and("price", Interval(300.0 + 7 * i, 4000.0 + 50 * i, loIncl = i % 2 == 0))
+      .and("carat", Interval(0.2 + 0.01 * i, 3.0, hiIncl = i % 3 == 0))
+    conn.topK(q(0))
+    val compiles = CodegenMetrics.METRIC_COMPILATION_TIME.getCount
+    (1 until 20).foreach(i => conn.topK(q(i)))
+    assert(conn.acc.queries == 20, "every query must reach the backend")
+    assert(CodegenMetrics.METRIC_COMPILATION_TIME.getCount == compiles,
+      "a query that differs only in its bounds compiled new code")
   }
 
   private val cheap  = WebQuery.all.and("price", Interval(200.0, 500.0))
